@@ -84,12 +84,17 @@ fuzz-smoke:
 	$(GO) test ./internal/merge -run '^$$' -fuzz FuzzSharedPlan -fuzztime 10s
 
 # Cross-candidate shared-scan executor vs row-at-a-time execution over
-# a doubling candidate ladder under a modeled disk-bound scan rate;
-# fails on any bit-level value disagreement between the strategies, or
-# if the shared scan is slower than the baseline at >=8 candidates.
-# Writes BENCH_scan.json.
+# a doubling candidate ladder, twice. The modeled arm runs under a
+# disk-bound scan rate and fails on any bit-level value disagreement
+# between the strategies, if the shared scan is slower than the
+# baseline at >=8 candidates, or if grouped candidates gain <4x there;
+# it writes BENCH_scan.json. The unthrottled arm measures real CPU time
+# and fails on any disagreement or if the shared pass is slower than
+# separate execution at any candidate count, one included; it writes
+# BENCH_scan_unthrottled.json.
 scan-smoke:
 	$(GO) run ./cmd/muvebench -scan -scan-json BENCH_scan.json
+	$(GO) run ./cmd/muvebench -scan -scan-throughput 0 -scan-json BENCH_scan_unthrottled.json
 
 # Closed-loop overload ramp to 2x calibrated capacity under transport
 # chaos; fails unless admission sheds load (zero fault escapes),

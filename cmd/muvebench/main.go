@@ -170,7 +170,7 @@ func run() error {
 		sloJSON    = flag.String("slo-json", "", "write the -slo summary as JSON to this file")
 		sloProfile = flag.String("slo-cpuprofile", "", "write a replay-wide CPU profile (stage-labeled samples) to this file")
 
-		scanFlag       = flag.Bool("scan", false, "benchmark the cross-candidate shared-scan executor against row-at-a-time execution instead of running experiments; any value disagreement or a shared scan slower than the baseline at >=8 candidates fails the run")
+		scanFlag       = flag.Bool("scan", false, "benchmark the cross-candidate shared-scan executor against row-at-a-time execution instead of running experiments; any value disagreement fails the run, as does a shared scan slower than the baseline at >=8 candidates (modeled rate) or at any count (-scan-throughput 0)")
 		scanRows       = flag.Int("scan-rows", 150000, "table rows in -scan mode")
 		scanThroughput = flag.Float64("scan-throughput", 5e6, "modeled backend scan rate in rows/sec for -scan mode (0 = unthrottled in-memory speed)")
 		scanJSON       = flag.String("scan-json", "", "write the -scan latency curve as JSON to this file")

@@ -421,11 +421,13 @@ func TestAskVoiceJSONAndMetrics(t *testing.T) {
 	if out.Source != string(serve.SourcePlanned) {
 		t.Errorf("source = %q, want planned", out.Source)
 	}
-	// The voice request landed in the speak metric families.
+	// The voice request landed in the speak metric families, and the
+	// shared scan that executed its facts in the scan families.
 	_, _, metrics := fetch(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		"muve_speak_requests_total 1",
 		`muve_speak_rung_total{rung="exact"} 1`,
+		"muve_scan_passes_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("missing %q in /metrics", want)

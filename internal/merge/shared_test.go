@@ -22,13 +22,16 @@ func TestBuildSharedPlanShapes(t *testing.T) {
 		t.Fatalf("Candidates() = %d", p.Candidates())
 	}
 	// All three requests queries — scalar, grouped multi-agg, composite
-	// GROUP BY — share one scan; the lone dob_jobs query is demoted to
-	// the direct executor.
-	if len(p.Scans) != 1 || len(p.Scans[0].Members) != 3 || p.Scans[0].Table != "requests" {
-		t.Fatalf("scans = %+v", p.Scans)
+	// GROUP BY — share one scan; the lone dob_jobs query gets its own
+	// shared scan instead of a demotion to the direct executor.
+	if len(p.Scans) != 2 {
+		t.Fatalf("scans = %+v, want two table groups", p.Scans)
 	}
-	if len(p.Singles) != 1 || p.Singles[0] != 2 {
-		t.Fatalf("singles = %v, want [2]", p.Singles)
+	if g := p.Scans[0]; g.Table != "requests" || len(g.Members) != 3 {
+		t.Fatalf("first scan = %+v, want the three requests candidates", g)
+	}
+	if g := p.Scans[1]; g.Table != "dob_jobs" || len(g.Members) != 1 || g.Members[0] != 2 {
+		t.Fatalf("second scan = %+v, want dob_jobs candidate 2 alone", g)
 	}
 }
 

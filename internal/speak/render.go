@@ -26,46 +26,22 @@ type VoiceAnswer struct {
 	// Objective is the expected listening effort of the selection in
 	// milliseconds under the cost model used to render.
 	Objective float64
+	// Scan is the shared-scan work that executed the facts' queries.
+	Scan sqldb.ScanStats
 }
 
 // Render executes the queries the fact set needs and phrases the facts
-// as a transcript. Query execution reuses the merge planner, the same
-// path the visual pipeline uses to fill bar values, so a voice answer
-// benefits from the identical IN/GROUP BY rewrites.
+// as a transcript. Every query rides one shared scan per table
+// (merge.BuildSharedPlan), the same pass the visual pipeline uses to
+// fill bar values, so a voice answer costs one table pass like a plot.
 func Render(db *sqldb.DB, in *core.Instance, fs FactSet, cost CostModel) (*VoiceAnswer, error) {
 	if cost == (CostModel{}) {
 		cost = DefaultCost()
 	}
-	need := map[int]bool{}
-	for _, f := range fs.Facts {
-		for _, qi := range f.Covers {
-			if qi >= 0 && qi < len(in.Candidates) {
-				need[qi] = true
-			}
-		}
+	values, scan, err := execute(db, in, fs)
+	if err != nil {
+		return nil, err
 	}
-	idxs := make([]int, 0, len(need))
-	for qi := range need {
-		idxs = append(idxs, qi)
-	}
-	sort.Ints(idxs)
-	queries := make([]sqldb.Query, len(idxs))
-	pos := make(map[int]int, len(idxs)) // candidate index -> plan position
-	for i, qi := range idxs {
-		queries[i] = in.Candidates[qi].Query
-		pos[qi] = i
-	}
-	values := map[int]merge.Result{}
-	if len(queries) > 0 {
-		res, err := merge.BuildPlan(db, queries).Execute(db, 0, 0)
-		if err != nil {
-			return nil, fmt.Errorf("speak: executing fact queries: %w", err)
-		}
-		for qi, pi := range pos {
-			values[qi] = res[pi]
-		}
-	}
-
 	var sentences []string
 	for _, f := range fs.Facts {
 		sentences = append(sentences, phrase(in, f, values))
@@ -76,7 +52,42 @@ func Render(db *sqldb.DB, in *core.Instance, fs FactSet, cost CostModel) (*Voice
 		Transcript: transcript,
 		Words:      len(strings.Fields(transcript)),
 		Objective:  cost.Cost(in, fs),
+		Scan:       scan,
 	}, nil
+}
+
+// execute answers every candidate some fact covers, keyed by candidate
+// index, in one shared scan per table.
+func execute(db *sqldb.DB, in *core.Instance, fs FactSet) (map[int]merge.Result, sqldb.ScanStats, error) {
+	need := map[int]bool{}
+	for _, f := range fs.Facts {
+		for _, qi := range f.Covers {
+			if qi >= 0 && qi < len(in.Candidates) {
+				need[qi] = true
+			}
+		}
+	}
+	if len(need) == 0 {
+		return map[int]merge.Result{}, sqldb.ScanStats{}, nil
+	}
+	idxs := make([]int, 0, len(need))
+	for qi := range need {
+		idxs = append(idxs, qi)
+	}
+	sort.Ints(idxs)
+	queries := make([]sqldb.Query, len(idxs))
+	for i, qi := range idxs {
+		queries[i] = in.Candidates[qi].Query
+	}
+	res, scan, err := merge.BuildSharedPlan(queries).Execute(db, 0, 0)
+	if err != nil {
+		return nil, scan, fmt.Errorf("speak: executing fact queries: %w", err)
+	}
+	values := make(map[int]merge.Result, len(idxs))
+	for i, qi := range idxs {
+		values[qi] = res[i]
+	}
+	return values, scan, nil
 }
 
 // phrase renders one fact as a sentence.

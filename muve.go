@@ -605,8 +605,12 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 	}
 	ans.Voice = va
 	ans.Stats = st
+	ans.Stats.Scan = va.Scan
 	vsp.SetInt("facts", int64(n)).
 		SetInt("spoken_words", int64(va.Words)).
+		SetInt("scans", va.Scan.Scans).
+		SetInt("rows", va.Scan.Rows).
+		SetInt("candidates", va.Scan.Candidates).
 		End()
 	return ans, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"muve/internal/core"
+	"muve/internal/obs"
 )
 
 func TestAskVoiceEndToEnd(t *testing.T) {
@@ -31,6 +32,44 @@ func TestAskVoiceEndToEnd(t *testing.T) {
 	}
 	if ans.Headline == "" {
 		t.Error("voice answer lost the headline")
+	}
+}
+
+// TestAskVoiceReportsScan checks that a voice answer accounts for the
+// shared scan that executed its facts, in Answer.Stats.Scan and on the
+// voice viz span.
+func TestAskVoiceReportsScan(t *testing.T) {
+	db := demoDB(t)
+	sys, err := New(db, "requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("ask")
+	ans, err := sys.AskVoiceContext(obs.WithTrace(context.Background(), tr), "how many noise complaints in brooklin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	st := ans.Stats.Scan
+	if st.Scans != 1 || st.Rows != 5000 || st.Candidates < 1 {
+		t.Fatalf("voice scan stats = %+v, want one pass over 5000 rows", st)
+	}
+	want := map[string]int64{"scans": st.Scans, "rows": st.Rows, "candidates": st.Candidates}
+	for _, sp := range tr.Spans() {
+		if sp.Stage != "viz" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if w, ok := want[a.Key]; ok {
+				if a.Value() != w {
+					t.Errorf("viz span %s = %v, want %d", a.Key, a.Value(), w)
+				}
+				delete(want, a.Key)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("viz span lacks attributes %v", want)
 	}
 }
 
