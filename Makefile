@@ -16,8 +16,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second run repeats the branch-and-bound tests whose tableau
+# snapshots travel with stolen nodes between workers.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Parallel|SteadyState' ./internal/ilp
 
 # Serving-layer micro-benchmarks plus the end-to-end ask bench.
 bench:

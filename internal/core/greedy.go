@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"muve/internal/obs"
 	"muve/internal/sqldb"
 )
 
@@ -66,6 +67,9 @@ type Stats struct {
 	LPSolves int
 	// SimplexIters totals simplex iterations across relaxations (ILP only).
 	SimplexIters int
+	// RootIters is the part of SimplexIters spent on root relaxations;
+	// the rest went to the branch-and-bound search (ILP only).
+	RootIters int
 	// Incumbents counts incumbent-solution updates during search (ILP only).
 	Incumbents int
 	// Workers is the parallelism actually used: branch-and-bound subtree
@@ -92,6 +96,40 @@ type Stats struct {
 	// Solvers leave it zero; the presentation layer fills it in after
 	// execution.
 	Scan sqldb.ScanStats
+}
+
+// RecordSolverStats attaches one planning call's counters to its span,
+// the plot "solver" span or the voice "speak" span: which planner ran,
+// the achieved cost, and — for ILP-backed planners — the internal
+// search effort (branch-and-bound nodes, LP relaxations, simplex
+// iterations with the root relaxation's share, incumbent updates). All
+// setters are nil-safe, so untraced sessions pay only the nil check.
+func RecordSolverStats(sp *obs.Span, name string, st Stats) {
+	sp.SetStr("solver", name).
+		SetFloat("cost", st.Cost).
+		SetBool("optimal", st.Optimal).
+		SetBool("timed_out", st.TimedOut)
+	if st.Rounds > 0 {
+		sp.SetInt("rounds", int64(st.Rounds))
+	}
+	if st.LPSolves > 0 {
+		sp.SetInt("bb_nodes", int64(st.Nodes)).
+			SetInt("lp_solves", int64(st.LPSolves)).
+			SetInt("simplex_iters", int64(st.SimplexIters)).
+			SetInt("root_iters", int64(st.RootIters)).
+			SetInt("incumbents", int64(st.Incumbents))
+	}
+	if st.Workers > 0 {
+		sp.SetInt("workers", int64(st.Workers)).
+			SetInt("steals", int64(st.Steals)).
+			SetInt("shared_prunes", int64(st.SharedPrunes))
+	}
+	if st.Sequences > 0 {
+		sp.SetInt("sequences", int64(st.Sequences))
+	}
+	if st.WarmStart != "" {
+		sp.SetStr("warm_start", string(st.WarmStart))
+	}
 }
 
 // Solve runs the greedy algorithm (Algorithm 1). The deadline is ignored:

@@ -144,6 +144,7 @@ func (s *ILPSolver) Solve(in *Instance) (Multiplot, Stats, error) {
 		Nodes:        sol.Nodes,
 		LPSolves:     sol.LPSolves,
 		SimplexIters: sol.SimplexIters,
+		RootIters:    sol.RootIters,
 		Incumbents:   sol.Incumbents,
 		Workers:      sol.Workers,
 		Steals:       sol.Steals,
@@ -402,8 +403,14 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 			}
 		}
 		for qi := 0; qi < nq; qi++ {
-			// qd_i <= sum_{j in G(i)} g_j.
-			terms := []ilp.Term{{Var: v.disp[qi], Coeff: 1}}
+			// sum q_{i,t,r} <= sum_{j in G(i)} g_j: no bar of an
+			// unprocessed query is drawn, which also gates qd_i (qd_i <=
+			// sum q_{i,t,r}). Gating qd_i alone would leave such bars
+			// free to appear, counted as missing by the objective.
+			if len(perQueryBars[qi]) == 0 {
+				continue
+			}
+			terms := append([]ilp.Term(nil), perQueryBars[qi]...)
 			for _, gv := range coveredBy[qi] {
 				terms = append(terms, ilp.Term{Var: gv, Coeff: -1})
 			}

@@ -94,7 +94,7 @@ func (s *IncrementalILP) Solve(in *Instance, emit func(Update)) (Multiplot, Stat
 	sequences := 0
 	// Counters accumulate across sequences: each inner solve restarts the
 	// search, and observability wants the total work, not the last slice.
-	var nodes, lpSolves, simplexIters, incumbents, steals, sharedPrunes int
+	var nodes, lpSolves, simplexIters, rootIters, incumbents, steals, sharedPrunes int
 	for {
 		if s.Ctx != nil && s.Ctx.Err() != nil {
 			break
@@ -139,6 +139,7 @@ func (s *IncrementalILP) Solve(in *Instance, emit func(Update)) (Multiplot, Stat
 		nodes += st.Nodes
 		lpSolves += st.LPSolves
 		simplexIters += st.SimplexIters
+		rootIters += st.RootIters
 		incumbents += st.Incumbents
 		steals += st.Steals
 		sharedPrunes += st.SharedPrunes
@@ -168,6 +169,7 @@ func (s *IncrementalILP) Solve(in *Instance, emit func(Update)) (Multiplot, Stat
 		Nodes:        nodes,
 		LPSolves:     lpSolves,
 		SimplexIters: simplexIters,
+		RootIters:    rootIters,
 		Incumbents:   incumbents,
 		Workers:      finalStats.Workers,
 		Steals:       steals,

@@ -56,6 +56,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	}
 	sh := &bbShared{
 		model:     m,
+		lp:        m.relaxation(),
 		deadline:  opt.Deadline,
 		maxNodes:  int64(opt.MaxNodes),
 		rootBound: math.Inf(-1),
@@ -67,16 +68,18 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	for i := range sh.workers {
 		sh.workers[i] = &bbWorker{id: int32(i), sh: sh}
 	}
-	if opt.WarmStart != nil && m.feasible(opt.WarmStart, 1e-6) {
-		sh.incumbent = append([]float64(nil), opt.WarmStart...)
-		sh.incObjVal = m.evalObjective(opt.WarmStart)
-		sh.objBits.Store(math.Float64bits(sh.incObjVal))
-		sh.incumbents.Add(1)
-	}
-
-	root := make([]int8, len(m.vars)) // -1 unfixed, 0, 1 for binaries
-	for i := range root {
-		root[i] = -1
+	if opt.WarmStart != nil {
+		// Like every incumbent, the seed is held snapped to integers and
+		// valued by the model, so Objective always equals the objective
+		// of Values exactly.
+		ws := append([]float64(nil), opt.WarmStart...)
+		cleanIntegers(m, ws)
+		if m.feasible(ws, 1e-6) {
+			sh.incumbent = ws
+			sh.incObjVal = m.evalObjective(ws)
+			sh.objBits.Store(math.Float64bits(sh.incObjVal))
+			sh.incumbents.Add(1)
+		}
 	}
 
 	// Seed phase, single-threaded on worker 0: process the root, then
@@ -86,7 +89,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	// machinery free for the searches that actually need it.
 	w0 := sh.workers[0]
 	var seed []bbNode
-	w0.process(bbNode{fixed: root, bound: math.Inf(-1)}, &seed, true)
+	w0.process(bbNode{bound: math.Inf(-1)}, &seed)
 	if workers > 1 {
 		for len(seed) > 0 && len(seed) < 2*workers && !sh.stopped.Load() {
 			best := 0
@@ -99,7 +102,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 			seed[best] = seed[len(seed)-1]
 			seed = seed[:len(seed)-1]
 			sh.pending.Add(-1)
-			w0.process(nd, &seed, false)
+			w0.process(nd, &seed)
 		}
 	}
 
@@ -138,11 +141,15 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	for _, w := range sh.workers {
 		lpSolves += w.lpSolves
 		simplexIters += w.simplexIters
+		for _, tb := range w.freeTabs {
+			tabPool.Put(tb)
+		}
 	}
 	sol := &Solution{
 		Nodes:        int(sh.nodes.Load()),
 		LPSolves:     lpSolves,
 		SimplexIters: simplexIters,
+		RootIters:    sh.rootIters,
 		Incumbents:   int(sh.incumbents.Load()),
 		Workers:      workers,
 		Steals:       int(sh.steals.Load()),
@@ -167,29 +174,26 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 		sol.Values = sh.incumbent
 		sol.Bound = sh.rootBound
 	}
-	if sol.Values != nil {
-		cleanIntegers(m, sol.Values)
-	}
 	return sol, nil
 }
 
-// bbNode is one frontier entry: a partial assignment plus what its
-// parent's relaxation proved about the subtree underneath it.
+// bbNode is one frontier entry: a subproblem plus what its parent's
+// relaxation proved about the subtree underneath it.
 type bbNode struct {
-	fixed []int8
+	// tab is the parent's optimal tableau with this node's branching
+	// bound already applied: dual feasible, so any worker re-solves it
+	// with the dual simplex. nil marks the root.
+	tab *lpTab
 	// bound is the parent LP objective, a valid lower bound for the whole
 	// subtree; nodes whose bound cannot beat the incumbent are dropped at
 	// pop time without paying an LP solve.
 	bound float64
-	// hint holds the structural variables basic at the parent optimum,
-	// used to crash-start the child relaxation (shared by both children,
-	// read-only).
-	hint []VarID
 }
 
 // bbShared is the state all workers of one Solve call share.
 type bbShared struct {
 	model    *Model
+	lp       *lpProblem // the root relaxation; nil when trivially infeasible
 	deadline time.Time
 	maxNodes int64
 
@@ -211,8 +215,10 @@ type bbShared struct {
 	steals       atomic.Int64
 	sharedPrunes atomic.Int64
 
-	// rootBound is written during the single-threaded seed phase only.
+	// rootBound and rootIters are written during the single-threaded
+	// seed phase only.
 	rootBound float64
+	rootIters int
 
 	workers []*bbWorker
 }
@@ -281,9 +287,9 @@ type bbWorker struct {
 	mu    sync.Mutex
 	deque []bbNode
 
-	sc        bbScratch
-	freeFixed [][]int8
-	tick      int
+	freeTabs []*lpTab  // snapshots to reuse, so warm searches never allocate
+	xr       []float64 // offerRounded's snapped point
+	tick     int
 
 	lpSolves     int
 	simplexIters int
@@ -362,7 +368,7 @@ func (w *bbWorker) run() {
 			continue
 		}
 		idle = 0
-		w.process(nd, nil, false)
+		w.process(nd, nil)
 		sh.pending.Add(-1)
 	}
 }
@@ -377,7 +383,7 @@ func (w *bbWorker) checkLimits() bool {
 		return true
 	}
 	hit := false
-	if !sh.deadline.IsZero() && w.tick&deadlineCheckMask == 0 && time.Now().After(sh.deadline) {
+	if w.tick&deadlineCheckMask == 0 && pastDeadline(sh.deadline) {
 		sh.halt()
 		hit = true
 	}
@@ -385,310 +391,228 @@ func (w *bbWorker) checkLimits() bool {
 	return hit
 }
 
-// process expands one node: bound-prune, solve the relaxation, adopt an
-// integral optimum, or branch. Children land on the worker's own deque,
-// or in seedQ during the single-threaded best-first seed phase.
-func (w *bbWorker) process(nd bbNode, seedQ *[]bbNode, isRoot bool) {
+// process solves one node and then keeps diving: the child on the side
+// the LP point rounds to continues in place on the same tableau, and
+// the other child is pushed with a snapshot of it. The dive ends at a
+// leaf (pruned, infeasible or integral). During the single-threaded
+// best-first seed phase both children go to seedQ instead and process
+// returns after one node.
+func (w *bbWorker) process(nd bbNode, seedQ *[]bbNode) {
 	sh := w.sh
-	// Re-check the parent bound against the global incumbent: it may
-	// have tightened since this node was queued.
-	if nd.bound >= sh.incObj()-1e-9 {
-		if o := sh.incOwner.Load(); o >= 0 && o != w.id {
-			sh.sharedPrunes.Add(1)
+	tab, bound := nd.tab, nd.bound
+	for {
+		// Re-check the parent bound against the global incumbent: it may
+		// have tightened since this node was queued.
+		if bound >= sh.incObj()-1e-9 {
+			w.pruned()
+			break
 		}
-		w.releaseFixed(nd.fixed)
-		return
-	}
-	if w.checkLimits() {
-		w.releaseFixed(nd.fixed)
-		return
-	}
-	// Exact node accounting across workers: reserve a node slot, give it
-	// back when over the cap so reported Nodes never exceeds MaxNodes.
-	if sh.maxNodes > 0 {
-		if sh.nodes.Add(1) > sh.maxNodes {
+		if w.checkLimits() {
+			break
+		}
+		// Exact node accounting across workers: reserve a node slot, give
+		// it back when over the cap so reported Nodes never exceeds
+		// MaxNodes.
+		if sh.nodes.Add(1) > sh.maxNodes && sh.maxNodes > 0 {
 			sh.nodes.Add(-1)
 			sh.halt()
-			w.releaseFixed(nd.fixed)
+			break
+		}
+		isRoot := tab == nil
+		var st lpStatus
+		if isRoot {
+			tab = w.newTab()
+			st = lpInfeasible
+			if sh.lp != nil {
+				tab.load(sh.lp)
+				st = tab.solve(sh.deadline)
+				sh.rootIters = tab.iters
+			}
+		} else {
+			st = tab.resolve(sh.deadline, sh.incObj()-sh.model.objConst-1e-9)
+		}
+		w.lpSolves++
+		w.simplexIters += tab.iters
+		if st == lpCutoff {
+			w.pruned()
+			break
+		}
+		if st != lpOptimal {
+			if st != lpInfeasible {
+				// Unbounded (only with unbounded continuous variables) or
+				// aborted: no useful bound below this node, so optimality
+				// can no longer be proven.
+				sh.complete.Store(false)
+			}
+			// An aborted relaxation usually means the deadline passed;
+			// poll it immediately so the rest of the pool winds down too.
+			if st == lpAborted && pastDeadline(sh.deadline) {
+				sh.halt()
+			}
+			break
+		}
+		obj := tab.obj + sh.model.objConst
+		if isRoot {
+			sh.rootBound = obj
+		}
+		if obj >= sh.incObj()-1e-9 {
+			w.pruned()
+			break
+		}
+		x := tab.structural()
+		// Offer the snapped point: for an integral relaxation it is the
+		// leaf's incumbent, for a fractional one a rounding heuristic so
+		// timeouts still surface something feasible. An integral point
+		// the model rejects (LP round-off beyond its tolerance) leaves
+		// its subtree unproven.
+		bv := w.branchVar(x, tab)
+		if vetted := w.offerRounded(x); bv == -1 {
+			if !vetted {
+				sh.complete.Store(false)
+			}
+			break
+		}
+		// Dive toward the fractional value's rounding; the away child is
+		// pushed below it, so a thief stealing from the other end of the
+		// deque gets the subtree the owner would visit last.
+		first := math.Round(x[bv])
+		away := w.newTab()
+		away.copyFrom(tab)
+		away.fix(bv, 1-first)
+		tab.fix(bv, first)
+		if seedQ != nil {
+			sh.pending.Add(2)
+			*seedQ = append(*seedQ, bbNode{tab: away, bound: obj}, bbNode{tab: tab, bound: obj})
 			return
 		}
-	} else {
-		sh.nodes.Add(1)
+		w.push(bbNode{tab: away, bound: obj})
+		bound = obj
 	}
-	x, obj, childHint, st, iters := solveRelaxation(sh.model, nd.fixed, nd.hint, sh.deadline, &w.sc)
-	w.lpSolves++
-	w.simplexIters += iters
-	switch st {
-	case lpInfeasible:
-		w.releaseFixed(nd.fixed)
-		return
-	case lpUnbounded:
-		// With bounded variables this cannot happen unless the model has
-		// unbounded continuous vars; treat as "no useful bound" and give
-		// up on proving optimality below this node.
-		sh.complete.Store(false)
-		w.releaseFixed(nd.fixed)
-		return
-	case lpAborted:
-		sh.complete.Store(false)
-		// An aborted relaxation usually means the deadline passed; poll
-		// it immediately so the rest of the pool winds down too.
-		if !sh.deadline.IsZero() && time.Now().After(sh.deadline) {
-			sh.halt()
-		}
-		w.releaseFixed(nd.fixed)
-		return
+	w.release(tab)
+}
+
+// pruned counts a prune against an incumbent another worker found.
+func (w *bbWorker) pruned() {
+	if o := w.sh.incOwner.Load(); o >= 0 && o != w.id {
+		w.sh.sharedPrunes.Add(1)
 	}
-	if isRoot {
-		sh.rootBound = obj
-	}
-	if obj >= sh.incObj()-1e-9 {
-		if o := sh.incOwner.Load(); o >= 0 && o != w.id {
-			sh.sharedPrunes.Add(1)
-		}
-		w.releaseFixed(nd.fixed)
-		return
-	}
-	// Find the fractional binary with the highest branching priority,
-	// breaking ties by fractionality.
-	branchVar := -1
+}
+
+// branchVar picks, among the unfixed fractional binaries, the one with
+// the highest branching priority, breaking ties by fractionality. It
+// returns -1 when there is none.
+func (w *bbWorker) branchVar(x []float64, tab *lpTab) int {
+	bv := -1
 	bestFrac := intTol
 	bestPri := 0
-	for i, vi := range sh.model.vars {
-		if !vi.integer || nd.fixed[i] >= 0 {
+	for i, vi := range w.sh.model.vars {
+		if !vi.integer || tab.lo[i] == tab.hi[i] {
 			continue
 		}
 		f := math.Abs(x[i] - math.Round(x[i]))
 		if f <= intTol {
 			continue
 		}
-		if branchVar == -1 || vi.priority > bestPri ||
+		if bv == -1 || vi.priority > bestPri ||
 			(vi.priority == bestPri && f > bestFrac) {
 			bestPri = vi.priority
 			bestFrac = f
-			branchVar = i
+			bv = i
 		}
 	}
-	if branchVar == -1 {
-		// Integral solution: candidate incumbent.
-		sh.offer(x, obj, w.id)
-		w.releaseFixed(nd.fixed)
-		return
-	}
-	// Rounding heuristic: try the nearest-integer rounding as an incumbent
-	// before descending, so timeouts still surface something feasible.
-	w.tryRounding(x, nd.fixed)
-	// Dive toward the fractional value's rounding first: push the away
-	// branch below it so the owner's LIFO pop explores the rounding
-	// side, while a thief stealing from the other end gets the subtree
-	// the owner would visit last.
-	first := int8(math.Round(x[branchVar]))
-	away := w.newFixed(nd.fixed)
-	away[branchVar] = 1 - first
-	toward := w.newFixed(nd.fixed)
-	toward[branchVar] = first
-	w.releaseFixed(nd.fixed)
-	if seedQ != nil {
-		sh.pending.Add(2)
-		*seedQ = append(*seedQ, bbNode{fixed: away, bound: obj, hint: childHint},
-			bbNode{fixed: toward, bound: obj, hint: childHint})
-		return
-	}
-	w.push(bbNode{fixed: away, bound: obj, hint: childHint})
-	w.push(bbNode{fixed: toward, bound: obj, hint: childHint})
+	return bv
 }
 
-// tryRounding rounds the LP solution to integers and offers it as an
-// incumbent when feasible.
-func (w *bbWorker) tryRounding(x []float64, fixed []int8) {
+// offerRounded snaps x's integer variables to the nearest integer and,
+// when the model accepts the result, offers it as an incumbent valued
+// by the model's own objective. It reports whether the snapped point
+// was feasible.
+func (w *bbWorker) offerRounded(x []float64) bool {
 	m := w.sh.model
-	r := growFloats(&w.sc.xr, len(x))
+	r := growFloats(&w.xr, len(x))
 	copy(r, x)
-	for i, vi := range m.vars {
-		if vi.integer {
-			if fixed[i] >= 0 {
-				r[i] = float64(fixed[i])
-			} else {
-				r[i] = math.Round(r[i])
-			}
-		}
-	}
+	cleanIntegers(m, r)
 	if !m.feasible(r, 1e-7) {
-		return
+		return false
 	}
 	w.sh.offer(r, m.evalObjective(r), w.id)
+	return true
 }
 
-// newFixed copies a fixing vector, reusing the worker's freelist.
-func (w *bbWorker) newFixed(src []int8) []int8 {
-	var f []int8
-	if n := len(w.freeFixed); n > 0 {
-		f = w.freeFixed[n-1]
-		w.freeFixed = w.freeFixed[:n-1]
-	} else {
-		f = make([]int8, len(src))
+// maxFreeTabs caps a worker's snapshot free list.
+const maxFreeTabs = 64
+
+// tabPool carries tableaus from one Solve's workers to the next, so a
+// steady stream of solves reuses their buffers instead of allocating
+// (and zeroing) a fresh snapshot for every branch of every search.
+var tabPool sync.Pool
+
+// newTab returns a tableau from the worker's free list, the pool, or a
+// new one.
+func (w *bbWorker) newTab() *lpTab {
+	if n := len(w.freeTabs); n > 0 {
+		tb := w.freeTabs[n-1]
+		w.freeTabs = w.freeTabs[:n-1]
+		return tb
 	}
-	copy(f, src)
-	return f
+	if tb, ok := tabPool.Get().(*lpTab); ok {
+		return tb
+	}
+	return new(lpTab)
 }
 
-// releaseFixed returns a fixing vector to the freelist.
-func (w *bbWorker) releaseFixed(f []int8) {
-	if f != nil && len(w.freeFixed) < 64 {
-		w.freeFixed = append(w.freeFixed, f)
+// release returns a tableau to the free list. A stolen node's tableau
+// lands on the thief's list.
+func (w *bbWorker) release(tb *lpTab) {
+	if tb != nil && len(w.freeTabs) < maxFreeTabs {
+		w.freeTabs = append(w.freeTabs, tb)
 	}
 }
 
-// bbScratch bundles the per-worker buffers of the relaxation builder
-// with the simplex arena underneath it.
-type bbScratch struct {
-	lp    lpScratch
-	prob  lpProblem
-	col   []int
-	varOf []VarID
-	lo    []float64
-	c     []float64
-	aAr   []float64
-	a     [][]float64
-	sense []Sense
-	b     []float64
-	x     []float64
-	xr    []float64
-	hint  []int
-}
-
-// solveRelaxation builds and solves the LP relaxation under the given
-// binary fixings. Fixed binaries are substituted out; remaining variables
-// are shifted to be non-negative and upper bounds become explicit rows.
-// hint carries the parent-basic structural variables for the crash
-// start; the returned childHint is this node's equivalent for its
-// children. x aliases sc and is only valid until the next call.
-func solveRelaxation(m *Model, fixed []int8, hint []VarID, deadline time.Time, sc *bbScratch) (x []float64, obj float64, childHint []VarID, st lpStatus, iters int) {
-	nv := len(m.vars)
-	col := growInts(&sc.col, nv) // model var -> LP column, -1 when fixed
-	lo := growFloats(&sc.lo, nv)
-	if cap(sc.varOf) < nv {
-		sc.varOf = make([]VarID, nv)
+// relaxation builds the model's LP relaxation, once per Solve: one row
+// per constraint, one column per variable with the variable's own
+// bounds. It returns nil when a constraint without terms is violated by
+// its constant alone.
+func (m *Model) relaxation() *lpProblem {
+	n := len(m.vars)
+	p := &lpProblem{
+		c:  make([]float64, n),
+		lo: make([]float64, n),
+		hi: make([]float64, n),
 	}
-	varOf := sc.varOf[:nv]
-	n := 0
 	for i, vi := range m.vars {
-		if vi.integer && fixed[i] >= 0 {
-			col[i] = -1
-			continue
-		}
-		col[i] = n
-		varOf[n] = VarID(i)
-		lo[i] = vi.lo
-		n++
+		p.lo[i], p.hi[i] = vi.lo, vi.hi
 	}
-	c := growFloats(&sc.c, n)
-	objConst := m.objConst
 	for _, t := range m.obj {
-		if cc := col[t.Var]; cc >= 0 {
-			c[cc] += t.Coeff
-			objConst += t.Coeff * lo[t.Var]
-		} else {
-			objConst += t.Coeff * float64(fixed[t.Var])
-		}
+		p.c[t.Var] += t.Coeff
 	}
-	maxRows := len(m.cons) + nv
-	rows := rowViews(&sc.aAr, &sc.a, maxRows, n)
-	if cap(sc.sense) < maxRows {
-		sc.sense = make([]Sense, maxRows)
-	}
-	senses := sc.sense[:maxRows]
-	b := growFloats(&sc.b, maxRows)
-	nr := 0
+	arena := make([]float64, len(m.cons)*n)
 	for _, con := range m.cons {
-		row := rows[nr]
-		rhs := con.rhs
-		any := false
-		for _, t := range con.terms {
-			if cc := col[t.Var]; cc >= 0 {
-				row[cc] += t.Coeff
-				rhs -= t.Coeff * lo[t.Var]
-				any = true
-			} else {
-				rhs -= t.Coeff * float64(fixed[t.Var])
-			}
-		}
-		if !any {
-			// Constant constraint: check it directly, and scrub the row
-			// buffer for its next occupant.
-			clear(row)
+		if len(con.terms) == 0 {
 			ok := true
 			switch con.sense {
 			case LE:
-				ok = rhs >= -1e-9
+				ok = con.rhs >= -1e-9
 			case GE:
-				ok = rhs <= 1e-9
+				ok = con.rhs <= 1e-9
 			case EQ:
-				ok = math.Abs(rhs) <= 1e-9
+				ok = math.Abs(con.rhs) <= 1e-9
 			}
 			if !ok {
-				return nil, 0, nil, lpInfeasible, 0
+				return nil
 			}
 			continue
 		}
-		senses[nr] = con.sense
-		b[nr] = rhs
-		nr++
-	}
-	// Upper-bound rows for shifted variables with finite upper bounds.
-	for i, vi := range m.vars {
-		cc := col[i]
-		if cc < 0 || math.IsInf(vi.hi, 1) {
-			continue
+		k := len(p.a)
+		row := arena[k*n : (k+1)*n : (k+1)*n]
+		for _, t := range con.terms {
+			row[t.Var] += t.Coeff
 		}
-		rows[nr][cc] = 1
-		senses[nr] = LE
-		b[nr] = vi.hi - vi.lo
-		nr++
+		p.a = append(p.a, row)
+		p.sense = append(p.sense, con.sense)
+		p.b = append(p.b, con.rhs)
 	}
-	// Map the parent's basic variables to this LP's columns.
-	hintCols := sc.hint[:0]
-	for _, v := range hint {
-		if cc := col[v]; cc >= 0 {
-			hintCols = append(hintCols, cc)
-		}
-	}
-	sc.hint = hintCols
-
-	p := &sc.prob
-	p.c = c
-	p.a = rows[:nr]
-	p.sense = senses[:nr]
-	p.b = b[:nr]
-	p.hint = hintCols
-	xs, lpObj, lst := p.solveLPInto(deadline, &sc.lp)
-	if lst != lpOptimal {
-		return nil, 0, nil, lst, p.iters
-	}
-	// Record which structural variables ended basic, as the crash hint
-	// for child relaxations.
-	nBasic := 0
-	for _, bc := range sc.lp.basis {
-		if bc < n {
-			nBasic++
-		}
-	}
-	childHint = make([]VarID, 0, nBasic)
-	for _, bc := range sc.lp.basis {
-		if bc < n {
-			childHint = append(childHint, varOf[bc])
-		}
-	}
-	// Map back to model space.
-	x = growFloats(&sc.x, nv)
-	for i := range m.vars {
-		if cc := col[i]; cc >= 0 {
-			x[i] = xs[cc] + lo[i]
-		} else {
-			x[i] = float64(fixed[i])
-		}
-	}
-	return x, lpObj + objConst, childHint, lpOptimal, p.iters
+	return p
 }
 
 // cleanIntegers snaps integer variables to exact integral values.

@@ -365,3 +365,38 @@ func TestStatusAndSenseStrings(t *testing.T) {
 		t.Error("model accessors")
 	}
 }
+
+// TestSolveObjectiveIsObjectiveOfValues pins the incumbent contract:
+// the reported Objective is the model's objective evaluated at the
+// reported Values, bit for bit, never the LP's floating-point estimate
+// of it — across the random corpus, hard knapsacks and worker counts.
+func TestSolveObjectiveIsObjectiveOfValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	var models []*Model
+	for i := 0; i < 90; i++ {
+		models = append(models, randomBinaryModel(rng))
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		models = append(models, HardRandomModel(seed, 20, 3))
+	}
+	checked := 0
+	for i, m := range models {
+		for _, workers := range []int{1, 2} {
+			sol, err := m.Solve(Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Values == nil {
+				continue
+			}
+			checked++
+			if got, want := math.Float64bits(sol.Objective), math.Float64bits(m.evalObjective(sol.Values)); got != want {
+				t.Errorf("model %d workers %d: Objective = %v, objective of Values = %v",
+					i, workers, sol.Objective, m.evalObjective(sol.Values))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no feasible model in the corpus")
+	}
+}

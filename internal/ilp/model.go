@@ -1,8 +1,11 @@
 // Package ilp is a self-contained 0/1 integer linear programming solver,
 // substituting for the Gurobi solver the paper uses (Section 9.1). It
 // supports binary and bounded continuous variables, linear constraints, and
-// minimization objectives; solving uses branch & bound over a dense
-// two-phase primal simplex LP relaxation. The solver honours deadlines and
+// minimization objectives. Solving is LP-relaxation branch & bound on a
+// dense bounded-variable simplex: bounds stay implicit (no bound rows),
+// the root relaxation is solved once per Solve, and every child re-solves
+// with the dual simplex from its parent's optimal tableau, since a branch
+// only changes one binary's bounds. The solver honours deadlines and
 // reports the best incumbent on timeout — matching the paper's observation
 // that "in case of a timeout, the ILP approach still produces a solution
 // (which is however not guaranteed to be optimal anymore)".
@@ -178,6 +181,9 @@ type Solution struct {
 	LPSolves int
 	// SimplexIters is the total simplex iterations across all relaxations.
 	SimplexIters int
+	// RootIters is the share of SimplexIters spent on the root
+	// relaxation; the rest is the search's dual re-solves.
+	RootIters int
 	// Incumbents counts how many times a new best integer solution was
 	// adopted (warm start, integral relaxations, and rounding heuristic).
 	Incumbents int

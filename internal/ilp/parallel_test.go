@@ -147,9 +147,10 @@ func TestSolveParallelDeadlineStillBounded(t *testing.T) {
 	}
 }
 
-// TestSimplexSteadyStateZeroAlloc locks in the satellite requirement:
-// once an lpScratch is warm, repeated LP solves perform zero heap
-// allocations.
+// TestSimplexSteadyStateZeroAlloc locks in the allocation contract of
+// the LP kernel: once a tableau is warm, repeated solves from the slack
+// basis, and the branch-and-bound step (snapshot, fix a bound, dual
+// re-solve), perform zero heap allocations.
 func TestSimplexSteadyStateZeroAlloc(t *testing.T) {
 	p := &lpProblem{
 		c: []float64{-3, -5, -4, 1},
@@ -162,7 +163,7 @@ func TestSimplexSteadyStateZeroAlloc(t *testing.T) {
 		sense: []Sense{LE, LE, LE, GE},
 		b:     []float64{8, 10, 15, -2},
 	}
-	var sc lpScratch
+	var sc lpTab
 	if _, _, st := p.solveLPInto(time.Time{}, &sc); st != lpOptimal {
 		t.Fatalf("warmup status = %v", st)
 	}
@@ -173,6 +174,19 @@ func TestSimplexSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state solveLPInto allocates %v objects per run, want 0", allocs)
+	}
+
+	var child lpTab
+	branch := func() {
+		child.copyFrom(&sc)
+		child.fix(1, 0)
+		if st := child.resolve(time.Time{}, math.Inf(1)); st != lpOptimal {
+			t.Fatalf("re-solve status = %v", st)
+		}
+	}
+	branch()
+	if allocs := testing.AllocsPerRun(100, branch); allocs != 0 {
+		t.Errorf("steady-state snapshot + dual re-solve allocates %v objects per run, want 0", allocs)
 	}
 }
 
@@ -231,7 +245,7 @@ func BenchmarkSimplexSteadyState(b *testing.B) {
 		sense: []Sense{LE, LE, LE, GE},
 		b:     []float64{8, 10, 15, -2},
 	}
-	var sc lpScratch
+	var sc lpTab
 	p.solveLPInto(time.Time{}, &sc) // warm the arena
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -13,15 +13,16 @@ func lpAlmost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 func TestSolveLPBasicMax(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic example):
 	// optimum at (2, 6) with objective 36; as minimization of the negation.
+	// x <= 4 is a bound, not a row.
 	p := &lpProblem{
 		c: []float64{-3, -5},
 		a: [][]float64{
-			{1, 0},
 			{0, 2},
 			{3, 2},
 		},
-		sense: []Sense{LE, LE, LE},
-		b:     []float64{4, 12, 18},
+		sense: []Sense{LE, LE},
+		b:     []float64{12, 18},
+		hi:    []float64{4, math.Inf(1)},
 	}
 	x, obj, st := p.solveLP(time.Time{})
 	if st != lpOptimal {
@@ -59,19 +60,20 @@ func TestSolveLPEqualityAndGE(t *testing.T) {
 }
 
 func TestSolveLPZeroRHSNormalization(t *testing.T) {
-	// The artificial-free normalization path: logical constraints with
-	// rhs 0 in GE and EQ form. min -x s.t. x <= y (x - y <= 0),
-	// y - x = 0 would force x = y; with y <= 5: optimum x = y = 5.
+	// Logical constraints with rhs 0 in every sense, as MUVE's models
+	// are full of: each becomes a slack bounded by its sense. min -x
+	// s.t. x <= y (x - y <= 0), y - x >= 0, x - y = 0 forces x = y; with
+	// the bound y <= 5: optimum x = y = 5.
 	p := &lpProblem{
 		c: []float64{-1, 0},
 		a: [][]float64{
 			{1, -1}, // x - y <= 0
 			{-1, 1}, // y - x >= 0 (redundant, exercises GE rhs 0)
-			{1, -1}, // x - y = 0 (EQ rhs 0 split)
-			{0, 1},  // y <= 5
+			{1, -1}, // x - y = 0
 		},
-		sense: []Sense{LE, GE, EQ, LE},
-		b:     []float64{0, 0, 0, 5},
+		sense: []Sense{LE, GE, EQ},
+		b:     []float64{0, 0, 0},
+		hi:    []float64{math.Inf(1), 5},
 	}
 	x, obj, st := p.solveLP(time.Time{})
 	if st != lpOptimal {
@@ -83,12 +85,13 @@ func TestSolveLPZeroRHSNormalization(t *testing.T) {
 }
 
 func TestSolveLPInfeasible(t *testing.T) {
-	// x >= 3 and x <= 1.
+	// x >= 3 as a row against the bound x <= 1.
 	p := &lpProblem{
 		c:     []float64{1},
-		a:     [][]float64{{1}, {1}},
-		sense: []Sense{GE, LE},
-		b:     []float64{3, 1},
+		a:     [][]float64{{1}},
+		sense: []Sense{GE},
+		b:     []float64{3},
+		hi:    []float64{1},
 	}
 	_, _, st := p.solveLP(time.Time{})
 	if st != lpInfeasible {
@@ -123,7 +126,8 @@ func TestSolveLPNoConstraints(t *testing.T) {
 }
 
 func TestSolveLPNegativeRHSFlip(t *testing.T) {
-	// -x <= -2 means x >= 2; min x should be 2.
+	// -x <= -2 means x >= 2; min x should be 2. The slack basis starts
+	// primal infeasible, so the dual simplex does the work.
 	p := &lpProblem{
 		c:     []float64{1},
 		a:     [][]float64{{-1}},
@@ -161,14 +165,24 @@ func TestSolveLPDeadline(t *testing.T) {
 
 // TestSolveLPRandomAgainstVertexEnumeration differential-tests the simplex
 // on small random LPs against brute-force vertex enumeration (all basis
-// choices of 2 variables out of constraints).
+// choices of 2 variables out of constraints and bounds).
 func TestSolveLPRandomAgainstVertexEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 200; trial++ {
 		// 2 variables, up to 4 LE constraints with positive rhs (origin
-		// feasible, so the LP is always feasible; unboundedness possible).
+		// feasible, so the LP is always feasible; unboundedness possible),
+		// and an upper bound on each variable half the time, passed as a
+		// bound.
 		nCons := 1 + rng.Intn(4)
-		p := &lpProblem{c: []float64{rng.NormFloat64(), rng.NormFloat64()}}
+		p := &lpProblem{
+			c:  []float64{rng.NormFloat64(), rng.NormFloat64()},
+			hi: []float64{math.Inf(1), math.Inf(1)},
+		}
+		for j := range p.hi {
+			if rng.Intn(2) == 0 {
+				p.hi[j] = rng.Float64() * 5
+			}
+		}
 		for i := 0; i < nCons; i++ {
 			p.a = append(p.a, []float64{rng.NormFloat64(), rng.NormFloat64()})
 			p.sense = append(p.sense, LE)
@@ -192,10 +206,23 @@ func TestSolveLPRandomAgainstVertexEnumeration(t *testing.T) {
 	}
 }
 
-// bruteForceLP2 solves a 2-variable LP with LE constraints and x >= 0 by
-// enumerating all candidate vertices (constraint/axis intersections) and
-// checking a coarse unboundedness certificate.
-func bruteForceLP2(p *lpProblem) (float64, bool) {
+// bruteForceLP2 solves a 2-variable LP with LE constraints, x >= 0 and
+// upper bounds p.hi by enumerating all candidate vertices
+// (constraint/bound/axis intersections) and checking a coarse
+// unboundedness certificate. Finite upper bounds enter the enumeration
+// as the LE rows the simplex itself never builds.
+func bruteForceLP2(bounded *lpProblem) (float64, bool) {
+	p := &lpProblem{c: bounded.c}
+	p.a = append(p.a, bounded.a...)
+	p.b = append(p.b, bounded.b...)
+	for j, h := range bounded.hi {
+		if !math.IsInf(h, 1) {
+			row := []float64{0, 0}
+			row[j] = 1
+			p.a = append(p.a, row)
+			p.b = append(p.b, h)
+		}
+	}
 	// Unbounded iff there is a ray direction d >= 0 with c'd < 0 and
 	// a_i'd <= 0 for all i. Sample directions densely.
 	for ang := 0.0; ang <= math.Pi/2+1e-9; ang += math.Pi / 720 {
@@ -255,4 +282,138 @@ func bruteForceLP2(p *lpProblem) (float64, bool) {
 		}
 	}
 	return best, false
+}
+
+// randomBoxedLP draws a small LP whose columns are all boxed: the
+// first nBin are binaries [0, 1], the rest continuous [0, u]. Rows of
+// every sense are built around a random point of the box, so the root
+// is feasible and fixings can make children infeasible.
+func randomBoxedLP(rng *rand.Rand) (p *lpProblem, nBin int) {
+	n := 3 + rng.Intn(6)
+	nBin = 1 + rng.Intn(n)
+	m := 2 + rng.Intn(5)
+	p = &lpProblem{c: make([]float64, n), lo: make([]float64, n), hi: make([]float64, n)}
+	x0 := make([]float64, n)
+	for j := 0; j < n; j++ {
+		p.c[j] = float64(rng.Intn(21) - 10)
+		p.hi[j] = 1
+		if j >= nBin {
+			p.hi[j] = float64(1 + rng.Intn(8))
+		}
+		x0[j] = rng.Float64() * p.hi[j]
+	}
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		ax := 0.0
+		for j := range row {
+			if rng.Intn(3) > 0 {
+				row[j] = float64(rng.Intn(11) - 5)
+				ax += row[j] * x0[j]
+			}
+		}
+		sense := []Sense{LE, GE, EQ}[rng.Intn(3)]
+		rhs := ax
+		switch sense {
+		case LE:
+			rhs += rng.Float64() * 3
+		case GE:
+			rhs -= rng.Float64() * 3
+		}
+		p.a = append(p.a, row)
+		p.sense = append(p.sense, sense)
+		p.b = append(p.b, rhs)
+	}
+	return p, nBin
+}
+
+// TestDualResolveMatchesColdSolve is the warm-vs-cold differential test
+// of the branch-and-bound LP kernel: along random sequences of binary
+// fixings, re-solving a snapshot of the parent's optimal tableau with
+// the dual simplex must agree with a cold solve of the same bounds from
+// the slack basis — same status, objective within 1e-9 — including
+// fixings that make the child infeasible.
+func TestDualResolveMatchesColdSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	infeasible, resolved := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		p, nBin := randomBoxedLP(rng)
+		var parent lpTab
+		if _, _, st := p.solveLPInto(time.Time{}, &parent); st != lpOptimal {
+			t.Fatalf("trial %d: root status = %v, want optimal (root is feasible by construction)", trial, st)
+		}
+		lo := append([]float64(nil), p.lo...)
+		hi := append([]float64(nil), p.hi...)
+		for _, j := range rng.Perm(nBin) {
+			v := float64(rng.Intn(2))
+			var child lpTab
+			child.copyFrom(&parent)
+			child.fix(j, v)
+			warm := child.resolve(time.Time{}, math.Inf(1))
+			lo[j], hi[j] = v, v
+			cold := &lpProblem{c: p.c, a: p.a, sense: p.sense, b: p.b, lo: lo, hi: hi}
+			_, coldObj, coldSt := cold.solveLP(time.Time{})
+			if warm != coldSt {
+				t.Fatalf("trial %d: fixing x%d=%v: warm status %v, cold %v", trial, j, v, warm, coldSt)
+			}
+			if warm != lpOptimal {
+				infeasible++
+				break
+			}
+			resolved++
+			if math.Abs(child.obj-coldObj) > 1e-9 {
+				t.Fatalf("trial %d: fixing x%d=%v: warm objective %v, cold %v", trial, j, v, child.obj, coldObj)
+			}
+			parent.copyFrom(&child)
+		}
+	}
+	if infeasible == 0 || resolved == 0 {
+		t.Fatalf("corpus too easy: %d infeasible children, %d optimal re-solves", infeasible, resolved)
+	}
+}
+
+// TestDualResolveCutoff checks the early stop: a re-solve whose dual
+// bound reaches a cutoff below its optimum may stop there (lpCutoff,
+// at a bound no lower than the cutoff) or finish; with the cutoff above
+// the optimum it always finishes.
+func TestDualResolveCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	cut := 0
+	for trial := 0; trial < 300; trial++ {
+		p, nBin := randomBoxedLP(rng)
+		var root lpTab
+		if _, _, st := p.solveLPInto(time.Time{}, &root); st != lpOptimal {
+			t.Fatalf("trial %d: root status = %v", trial, st)
+		}
+		j, v := rng.Intn(nBin), float64(rng.Intn(2))
+		var ref lpTab
+		ref.copyFrom(&root)
+		ref.fix(j, v)
+		if ref.resolve(time.Time{}, math.Inf(1)) != lpOptimal {
+			continue
+		}
+		var child lpTab
+		child.copyFrom(&root)
+		child.fix(j, v)
+		switch st := child.resolve(time.Time{}, ref.obj-1e-6); st {
+		case lpCutoff:
+			cut++
+			if child.obj < ref.obj-1e-6 {
+				t.Fatalf("trial %d: cut off at %v below the cutoff %v", trial, child.obj, ref.obj-1e-6)
+			}
+		case lpOptimal:
+			if math.Abs(child.obj-ref.obj) > 1e-9 {
+				t.Fatalf("trial %d: optimum %v, want %v", trial, child.obj, ref.obj)
+			}
+		default:
+			t.Fatalf("trial %d: status %v", trial, st)
+		}
+		child.copyFrom(&root)
+		child.fix(j, v)
+		if st := child.resolve(time.Time{}, ref.obj+1e-6); st != lpOptimal || math.Abs(child.obj-ref.obj) > 1e-9 {
+			t.Fatalf("trial %d: cutoff above the optimum: status %v obj %v, want optimal %v", trial, st, child.obj, ref.obj)
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no re-solve was cut off")
+	}
 }

@@ -95,38 +95,6 @@ type Method interface {
 	Present(s *Session) (*Trace, error)
 }
 
-// recordSolverStats attaches one planning call's counters to a "solver"
-// span: which planner ran, the achieved cost, and — for ILP-backed
-// planners — the internal search effort (branch-and-bound nodes, LP
-// relaxations, simplex iterations, incumbent updates). All setters are
-// nil-safe, so untraced sessions pay only the nil check.
-func recordSolverStats(sp *obs.Span, name string, st core.Stats) {
-	sp.SetStr("solver", name).
-		SetFloat("cost", st.Cost).
-		SetBool("optimal", st.Optimal).
-		SetBool("timed_out", st.TimedOut)
-	if st.Rounds > 0 {
-		sp.SetInt("rounds", int64(st.Rounds))
-	}
-	if st.LPSolves > 0 {
-		sp.SetInt("bb_nodes", int64(st.Nodes)).
-			SetInt("lp_solves", int64(st.LPSolves)).
-			SetInt("simplex_iters", int64(st.SimplexIters)).
-			SetInt("incumbents", int64(st.Incumbents))
-	}
-	if st.Workers > 0 {
-		sp.SetInt("workers", int64(st.Workers)).
-			SetInt("steals", int64(st.Steals)).
-			SetInt("shared_prunes", int64(st.SharedPrunes))
-	}
-	if st.Sequences > 0 {
-		sp.SetInt("sequences", int64(st.Sequences))
-	}
-	if st.WarmStart != "" {
-		sp.SetStr("warm_start", string(st.WarmStart))
-	}
-}
-
 // updateSpan opens a "progressive.update" child span for one
 // visualization update: its duration covers the query execution that
 // produced the update, and its attrs record which update it was (0 is
@@ -429,7 +397,7 @@ func (d *Default) Present(s *Session) (*Trace, error) {
 		sp.SetErr(err).End()
 		return nil, err
 	}
-	recordSolverStats(sp, d.name, st)
+	core.RecordSolverStats(sp, d.name, st)
 	sp.End()
 	var events []Event
 	// Sketch-first: when the DB keeps aggregate sketches and every
@@ -487,7 +455,7 @@ func (IncPlot) Present(s *Session) (*Trace, error) {
 		sp.SetErr(err).End()
 		return nil, err
 	}
-	recordSolverStats(sp, "Greedy", st)
+	core.RecordSolverStats(sp, "Greedy", st)
 	sp.End()
 	// Order plots by covered probability mass.
 	type ref struct {
@@ -583,7 +551,7 @@ func (a *Approx) Present(s *Session) (*Trace, error) {
 		sp.SetErr(err).End()
 		return nil, err
 	}
-	recordSolverStats(sp, "Greedy", st)
+	core.RecordSolverStats(sp, "Greedy", st)
 	sp.End()
 	rate := a.Rate
 	if rate <= 0 {
@@ -735,7 +703,7 @@ func (i ILPInc) Present(s *Session) (*Trace, error) {
 		sp.SetErr(execErr).End()
 		return nil, execErr
 	}
-	recordSolverStats(sp, inc.Name(), st)
+	core.RecordSolverStats(sp, inc.Name(), st)
 	sp.End()
 	if len(events) == 0 {
 		events = []Event{{At: time.Since(start)}}

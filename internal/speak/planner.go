@@ -114,6 +114,7 @@ func (p *Planner) Solve(in *core.Instance) (FactSet, core.Stats, error) {
 		Nodes:        sol.Nodes,
 		LPSolves:     sol.LPSolves,
 		SimplexIters: sol.SimplexIters,
+		RootIters:    sol.RootIters,
 		Incumbents:   sol.Incumbents,
 		Workers:      sol.Workers,
 		Steals:       sol.Steals,

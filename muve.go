@@ -579,16 +579,11 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 		return nil, err
 	}
 	w, _, n, nD := fs.Totals()
-	sp.SetStr("planner", planner).
-		SetInt("facts", int64(n)).
+	core.RecordSolverStats(sp, planner, st)
+	sp.SetInt("facts", int64(n)).
 		SetInt("direct_facts", int64(nD)).
 		SetInt("words", int64(w)).
-		SetFloat("cost", st.Cost).
-		SetBool("optimal", st.Optimal)
-	if st.WarmStart != "" {
-		sp.SetStr("warm_start", string(st.WarmStart))
-	}
-	sp.End()
+		End()
 
 	vsp := obs.StartSpan(ctx, "viz")
 	if err := resilience.Inject(ctx, "viz"); err != nil {

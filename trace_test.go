@@ -48,14 +48,70 @@ func TestAskContextTraceStages(t *testing.T) {
 	for _, a := range solver.Attrs {
 		attrs[a.Key] = a.Value()
 	}
-	for _, key := range []string{"bb_nodes", "lp_solves", "simplex_iters", "incumbents"} {
+	for _, key := range []string{"bb_nodes", "lp_solves", "simplex_iters", "root_iters", "incumbents"} {
 		v, ok := attrs[key].(int64)
 		if !ok || v < 1 {
 			t.Errorf("solver attr %q = %v, want >= 1", key, attrs[key])
 		}
 	}
+	if attrs["root_iters"].(int64) > attrs["simplex_iters"].(int64) {
+		t.Errorf("root_iters %v exceeds simplex_iters %v", attrs["root_iters"], attrs["simplex_iters"])
+	}
 	if attrs["solver"] != "ILP" {
 		t.Errorf("solver attr = %v, want ILP", attrs["solver"])
+	}
+}
+
+// TestAskVoiceTraceCarriesSolverCounters checks that an ILP voice ask's
+// "speak" span reports the fact-set search the same way the plot
+// "solver" span reports the multiplot search: nodes, LP solves, simplex
+// iterations and the root relaxation's share of them.
+func TestAskVoiceTraceCarriesSolverCounters(t *testing.T) {
+	db := demoDB(t)
+	sys, err := New(db, "requests",
+		WithAnswerMode(ModeVoice),
+		WithSolver(SolverILP),
+		WithILPTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("ask")
+	ctx := obs.WithTrace(context.Background(), tr)
+	ans, err := sys.AskContext(ctx, "how many noise complaints in brooklin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if ans.Stats.LPSolves == 0 {
+		t.Fatal("voice ask solved no LP relaxation; the fact-set ILP did not run")
+	}
+	var speak *obs.Span
+	for _, sp := range tr.Spans() {
+		if sp.Stage == "speak" {
+			sp := sp
+			speak = &sp
+		}
+	}
+	if speak == nil {
+		t.Fatal("no speak span")
+	}
+	attrs := map[string]any{}
+	for _, a := range speak.Attrs {
+		attrs[a.Key] = a.Value()
+	}
+	want := map[string]int{
+		"bb_nodes":      ans.Stats.Nodes,
+		"lp_solves":     ans.Stats.LPSolves,
+		"simplex_iters": ans.Stats.SimplexIters,
+		"root_iters":    ans.Stats.RootIters,
+	}
+	for key, n := range want {
+		if v, ok := attrs[key].(int64); !ok || v != int64(n) || v < 1 {
+			t.Errorf("speak attr %q = %v, want %d (>= 1)", key, attrs[key], n)
+		}
+	}
+	if attrs["solver"] == nil || attrs["optimal"] == nil {
+		t.Errorf("speak span lacks solver/optimal attrs: %v", attrs)
 	}
 }
 
